@@ -7,6 +7,7 @@ package flexftl_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"flexftl/internal/core"
@@ -17,6 +18,7 @@ import (
 	"flexftl/internal/nand"
 	"flexftl/internal/nandn"
 	"flexftl/internal/parity"
+	"flexftl/internal/rel"
 	"flexftl/internal/rng"
 	"flexftl/internal/sim"
 	"flexftl/internal/ssd"
@@ -675,6 +677,54 @@ func BenchmarkDeviceRead(b *testing.B) {
 			now = done
 		}
 	})
+}
+
+// BenchmarkDeviceFootprint reports the live heap of a freshly built device
+// per physical page (B/page): the paper's MLC geometry without and with a
+// reliability model (which adds each page's program time), and the TLC
+// geometry. Page storage is allocated whole at construction, so the figure
+// holds after programming too.
+func BenchmarkDeviceFootprint(b *testing.B) {
+	relCfg := rel.DefaultConfig(1)
+	cases := []struct {
+		name  string
+		pages int
+		build func() (any, error)
+	}{
+		{"mlc", nand.DefaultGeometry().TotalPages(), func() (any, error) {
+			return nand.NewDevice(nand.Config{Geometry: nand.DefaultGeometry(), Timing: nand.DefaultTiming(), Rules: core.RPS})
+		}},
+		{"mlc-rel", nand.DefaultGeometry().TotalPages(), func() (any, error) {
+			return nand.NewDevice(nand.Config{Geometry: nand.DefaultGeometry(), Timing: nand.DefaultTiming(), Rules: core.RPS, Reliability: &relCfg})
+		}},
+		{"tlc", nandn.TLCGeometry().TotalPages(), func() (any, error) {
+			return nandn.NewDevice(nandn.TLCGeometry(), nandn.TLCTiming())
+		}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			var perPage float64
+			for i := 0; i < b.N; i++ {
+				before := liveHeapBytes()
+				dev, err := c.build()
+				if err != nil {
+					b.Fatal(err)
+				}
+				perPage = float64(liveHeapBytes()-before) / float64(c.pages)
+				runtime.KeepAlive(dev)
+			}
+			b.ReportMetric(perPage, "B/page")
+		})
+	}
+}
+
+// liveHeapBytes returns the bytes of live heap objects after a full
+// collection.
+func liveHeapBytes() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // BenchmarkRunFig4 measures the Figure 4 driver end to end, serial vs the

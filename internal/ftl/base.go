@@ -12,6 +12,8 @@ import (
 )
 
 // ErrUnmapped is returned by reads of logical pages that were never written.
+// It comes bare, without the LPN the caller already holds: trim-heavy
+// workloads read unmapped pages on the per-op path, which must not allocate.
 var ErrUnmapped = errors.New("ftl: read of unmapped LPN")
 
 // Base carries the state and helpers shared by every MLC kernel
@@ -420,7 +422,7 @@ func (b *Base) Trim(lpn LPN, now sim.Time) (sim.Time, error) {
 func (b *Base) ReadLPN(lpn LPN, now sim.Time) (sim.Time, error) {
 	ppn, ok := b.Map.Lookup(lpn)
 	if !ok {
-		return now, fmt.Errorf("%w: %d", ErrUnmapped, lpn)
+		return now, ErrUnmapped
 	}
 	addr := b.Dev.Geometry().AddrOfPPN(ppn)
 	done, err := b.Dev.ReadInto(addr, &b.Buf, now)

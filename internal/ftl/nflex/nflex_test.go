@@ -560,3 +560,22 @@ func TestNLevelPageShapes(t *testing.T) {
 	}
 	_ = nlevel.Page{} // keep the import meaningful for shape tests
 }
+
+// TestPayloadsFitDeviceSlots pins nflex's payloads to the n-level page
+// store's inline slots (see the kernel's test of the same name): tokens and
+// phase parities in the data slot, reverse-map and (block, level) parity
+// spares in the spare slot.
+func TestPayloadsFitDeviceSlots(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		size, slot int
+	}{
+		{"ftl.TokenSize", ftl.TokenSize, nandn.DataSlotBytes},
+		{"ftl.SpareForLPN", len(ftl.SpareForLPN(1)), nandn.SpareSlotBytes},
+		{"spareBlockNo", len(spareBlockNo(1, 1)), nandn.SpareSlotBytes},
+	} {
+		if c.size > c.slot {
+			t.Errorf("%s is %d bytes, over the %d-byte slot", c.name, c.size, c.slot)
+		}
+	}
+}

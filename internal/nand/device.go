@@ -49,26 +49,9 @@ func DefaultConfig(rules core.RuleSet) Config {
 	return Config{Geometry: DefaultGeometry(), Timing: DefaultTiming(), Rules: rules}
 }
 
-// page holds the stored state of one physical page.
-type page struct {
-	programmed bool
-	corrupted  bool // data destroyed (power-off during paired MSB program)
-	// lost pins the page ECC-uncorrectable: once a read of it failed the
-	// retry ladder, every later read must fail too (the model's hash varies
-	// per read, so without the pin a lost page could "recover"). Set by the
-	// FTL via MarkLost after an unrepairable loss; cleared by erase/program.
-	lost  bool
-	data  []byte
-	spare []byte
-	// progAt is the virtual time the page was last programmed — the zero of
-	// its retention clock. Only maintained when the reliability model is on.
-	progAt sim.Time
-}
-
 // block is the physical state of one erase block.
 type block struct {
 	state      *core.BlockState
-	pages      []page
 	eraseCount int
 	retired    bool
 	// readCount counts reads of the block since its last erase (the
@@ -117,6 +100,7 @@ type Device struct {
 	cfg      Config
 	rules    core.RuleSet
 	chips    []chip
+	pages    PageStore  // every page's flags and payload, by PPN
 	chanFree []sim.Time // per-channel bus availability
 	counts   []OpCounts // per-chip operation counters (Counts sums them)
 	busyTime []sim.Time // accumulated busy time per chip (utilization metric)
@@ -165,6 +149,7 @@ func NewDevice(cfg Config) (*Device, error) {
 		cfg:       cfg,
 		rules:     rules,
 		chips:     make([]chip, cfg.Geometry.Chips()),
+		pages:     NewPageStore(cfg.Geometry.TotalPages(), DataSlotBytes, SpareSlotBytes),
 		chanFree:  make([]sim.Time, cfg.Geometry.Channels),
 		counts:    make([]OpCounts, cfg.Geometry.Chips()),
 		busyTime:  make([]sim.Time, cfg.Geometry.Chips()),
@@ -174,15 +159,13 @@ func NewDevice(cfg Config) (*Device, error) {
 	for c := range d.chips {
 		blocks := make([]block, cfg.Geometry.BlocksPerChip)
 		for b := range blocks {
-			blocks[b] = block{
-				state: core.NewBlockState(cfg.Geometry.WordLinesPerBlock),
-				pages: make([]page, cfg.Geometry.PagesPerBlock()),
-			}
+			blocks[b] = block{state: core.NewBlockState(cfg.Geometry.WordLinesPerBlock)}
 		}
 		d.chips[c].blocks = blocks
 	}
 	if cfg.Reliability != nil {
 		d.relCounts = make([]rel.Counts, cfg.Geometry.Chips())
+		d.pages.TrackProgAt()
 	}
 	return d, nil
 }
@@ -305,16 +288,18 @@ func (d *Device) blockAt(a BlockAddr) (*block, error) {
 	return &d.chips[a.Chip].blocks[a.Block], nil
 }
 
-func (d *Device) pageAt(a PageAddr) (*block, *page, error) {
+// pageAt validates a page address and returns its block and its index in
+// the page store.
+func (d *Device) pageAt(a PageAddr) (*block, int, error) {
 	blk, err := d.blockAt(a.BlockAddr)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-	wl := d.cfg.Geometry.WordLinesPerBlock
-	if a.Page.WL < 0 || a.Page.WL >= wl {
-		return nil, nil, fmt.Errorf("nand: word line %d out of range [0,%d)", a.Page.WL, wl)
+	g := d.cfg.Geometry
+	if a.Page.WL < 0 || a.Page.WL >= g.WordLinesPerBlock {
+		return nil, 0, fmt.Errorf("nand: word line %d out of range [0,%d)", a.Page.WL, g.WordLinesPerBlock)
 	}
-	return blk, &blk.pages[a.Page.Index(wl)], nil
+	return blk, int(g.PPNOf(a)), nil
 }
 
 // progLatency returns the cell program latency for a page type.
@@ -330,7 +315,7 @@ func (d *Device) progLatency(t core.PageType) sim.Time {
 // program completes. Issue semantics: the transfer starts when both the
 // channel bus and the chip are free; the cell program then occupies the chip.
 func (d *Device) Program(a PageAddr, data, spare []byte, now sim.Time) (sim.Time, error) {
-	blk, pg, err := d.pageAt(a)
+	blk, idx, err := d.pageAt(a)
 	if err != nil {
 		return now, err
 	}
@@ -368,17 +353,10 @@ func (d *Device) Program(a PageAddr, data, spare []byte, now sim.Time) (sim.Time
 	}
 
 	blk.state.Mark(a.Page)
-	pg.programmed = true
-	pg.corrupted = false
-	pg.lost = false
-	pg.data = append(pg.data[:0], data...)
-	pg.spare = append(pg.spare[:0], spare...)
-	if d.cfg.Reliability != nil {
-		pg.progAt = done
-		if !blk.hasProg {
-			blk.hasProg = true
-			blk.firstProgAt = done
-		}
+	d.pages.Store(idx, data, spare, done)
+	if d.cfg.Reliability != nil && !blk.hasProg {
+		blk.hasProg = true
+		blk.firstProgAt = done
 	}
 
 	if a.Page.Type == core.MSB {
@@ -434,10 +412,10 @@ func (d *Device) OpenMSBWindow(chipID int) (PageAddr, bool) {
 // and the block's read-disturb count, classified through the ECC retry
 // ladder by a hash of the read's chip-local identity. Only called when the
 // model is enabled.
-func (d *Device) relOutcome(a PageAddr, blk *block, pg *page, at sim.Time) rel.Outcome {
+func (d *Device) relOutcome(a PageAddr, blk *block, idx int, at sim.Time) rel.Outcome {
 	rc := d.cfg.Reliability
 	blk.readCount++
-	age := at - pg.progAt
+	age := at - d.pages.ProgAt(idx)
 	if age < 0 {
 		age = 0
 	}
@@ -460,11 +438,11 @@ func (d *Device) relOutcome(a PageAddr, blk *block, pg *page, at sim.Time) rel.O
 }
 
 // readPage performs the timing, accounting and validity checks shared by
-// Read and ReadInto, returning the sensed page.
-func (d *Device) readPage(a PageAddr, now sim.Time) (*page, sim.Time, error) {
-	blk, pg, err := d.pageAt(a)
+// Read and ReadInto, returning the sensed page's store index.
+func (d *Device) readPage(a PageAddr, now sim.Time) (int, sim.Time, error) {
+	blk, idx, err := d.pageAt(a)
 	if err != nil {
-		return nil, now, err
+		return 0, now, err
 	}
 	g := d.cfg.Geometry
 	ch := g.ChannelOf(a.Chip)
@@ -474,9 +452,10 @@ func (d *Device) readPage(a PageAddr, now sim.Time) (*page, sim.Time, error) {
 	// rounds extend the sense phase: each round re-occupies the cell array
 	// for another read. The extra occupancy is charged to read_retry; the
 	// base read keeps the ambient cause.
+	programmed, corrupted, lost := d.pages.Programmed(idx), d.pages.Corrupted(idx), d.pages.Lost(idx)
 	var outcome rel.Outcome
-	if d.cfg.Reliability != nil && pg.programmed && !pg.corrupted && !pg.lost {
-		outcome = d.relOutcome(a, blk, pg, start)
+	if d.cfg.Reliability != nil && programmed && !corrupted && !lost {
+		outcome = d.relOutcome(a, blk, idx, start)
 	}
 	retryDur := sim.Time(outcome.Retries) * d.cfg.Timing.Read
 	senseDone := start + d.cfg.Timing.Read + retryDur
@@ -496,19 +475,16 @@ func (d *Device) readPage(a PageAddr, now sim.Time) (*page, sim.Time, error) {
 		d.histRead.Record(int64(done - start))
 	}
 
-	if !pg.programmed {
-		return nil, done, fmt.Errorf("%w: %v", ErrNotProgrammed, a)
+	if !programmed {
+		return 0, done, fmt.Errorf("%w: %v", ErrNotProgrammed, a)
 	}
-	if pg.corrupted {
-		return nil, done, fmt.Errorf("%w: %v", ErrUncorrectable, a)
+	if corrupted {
+		return 0, done, fmt.Errorf("%w: %v", ErrUncorrectable, a)
 	}
-	if pg.lost {
-		return nil, done, fmt.Errorf("%w: %v", rel.ErrUncorrectable, a)
+	if lost || outcome.Uncorrectable {
+		return 0, done, fmt.Errorf("%w: %v", rel.ErrUncorrectable, a)
 	}
-	if outcome.Uncorrectable {
-		return nil, done, fmt.Errorf("%w: %v", rel.ErrUncorrectable, a)
-	}
-	return pg, done, nil
+	return idx, done, nil
 }
 
 // Read returns a copy of the page payload and spare area, plus the
@@ -519,11 +495,12 @@ func (d *Device) readPage(a PageAddr, now sim.Time) (*page, sim.Time, error) {
 // Read allocates two fresh slices per call; hot paths (host reads, GC
 // relocation, recovery scans) use ReadInto with a reusable PageBuf instead.
 func (d *Device) Read(a PageAddr, now sim.Time) (data, spare []byte, done sim.Time, err error) {
-	pg, done, err := d.readPage(a, now)
+	idx, done, err := d.readPage(a, now)
 	if err != nil {
 		return nil, nil, done, err
 	}
-	return append([]byte(nil), pg.data...), append([]byte(nil), pg.spare...), done, nil
+	data, spare = d.pages.Payload(idx)
+	return append([]byte(nil), data...), append([]byte(nil), spare...), done, nil
 }
 
 // PageBuf is a caller-owned destination for ReadInto. Its backing arrays
@@ -542,13 +519,14 @@ type PageBuf struct {
 // valid until the next ReadInto with the same buf — callers that hand the
 // data onward (e.g. to Program, which copies) need no further copy.
 func (d *Device) ReadInto(a PageAddr, buf *PageBuf, now sim.Time) (done sim.Time, err error) {
-	pg, done, err := d.readPage(a, now)
+	idx, done, err := d.readPage(a, now)
 	if err != nil {
 		buf.Data, buf.Spare = buf.Data[:0], buf.Spare[:0]
 		return done, err
 	}
-	buf.Data = append(buf.Data[:0], pg.data...)
-	buf.Spare = append(buf.Spare[:0], pg.spare...)
+	data, spare := d.pages.Payload(idx)
+	buf.Data = append(buf.Data[:0], data...)
+	buf.Spare = append(buf.Spare[:0], spare...)
 	return done, nil
 }
 
@@ -577,18 +555,8 @@ func (d *Device) Erase(a BlockAddr, now sim.Time) (sim.Time, error) {
 	d.chargeBusy(a.Chip, done-start)
 
 	blk.state.Reset()
-	// Truncate rather than drop the payload slices: their capacity is
-	// reused by the next program of the page, keeping the program hot path
-	// allocation-free in steady state (pages are only read behind the
-	// programmed flag, so an empty slice is indistinguishable from nil).
-	for i := range blk.pages {
-		pg := &blk.pages[i]
-		pg.programmed = false
-		pg.corrupted = false
-		pg.lost = false
-		pg.data = pg.data[:0]
-		pg.spare = pg.spare[:0]
-	}
+	first := int(d.cfg.Geometry.PPNOf(PageAddr{BlockAddr: a}))
+	d.pages.Erase(first, first+d.cfg.Geometry.PagesPerBlock())
 	blk.eraseCount++
 	blk.readCount = 0
 	blk.hasProg = false
@@ -737,14 +705,14 @@ func (d *Device) Wear() WearStats {
 
 // IsProgrammed reports whether a page holds data.
 func (d *Device) IsProgrammed(a PageAddr) bool {
-	_, pg, err := d.pageAt(a)
-	return err == nil && pg.programmed
+	_, idx, err := d.pageAt(a)
+	return err == nil && d.pages.Programmed(idx)
 }
 
 // IsCorrupted reports whether a page's data was destroyed.
 func (d *Device) IsCorrupted(a PageAddr) bool {
-	_, pg, err := d.pageAt(a)
-	return err == nil && pg.corrupted
+	_, idx, err := d.pageAt(a)
+	return err == nil && d.pages.Corrupted(idx)
 }
 
 // BlockProgrammedPages returns how many pages of the block are programmed.
@@ -774,19 +742,17 @@ func (d *Device) BlockStateSnapshot(a BlockAddr) *core.BlockState {
 // must treat that write as not durable). It reports whether pages were
 // corrupted.
 func (d *Device) InjectPowerLoss(a BlockAddr) bool {
-	blk, err := d.blockAt(a)
-	if err != nil {
+	if _, err := d.blockAt(a); err != nil {
 		return false
 	}
 	c := &d.chips[a.Chip]
 	if !c.win.open || c.win.blk != a.Block {
 		return false
 	}
-	wl := d.cfg.Geometry.WordLinesPerBlock
-	lsbIdx := core.Page{WL: c.win.wl, Type: core.LSB}.Index(wl)
-	msbIdx := core.Page{WL: c.win.wl, Type: core.MSB}.Index(wl)
-	blk.pages[lsbIdx].corrupted = true
-	blk.pages[msbIdx].corrupted = true
+	g := d.cfg.Geometry
+	for _, t := range [...]core.PageType{core.LSB, core.MSB} {
+		d.pages.SetCorrupted(int(g.PPNOf(PageAddr{BlockAddr: a, Page: core.Page{WL: c.win.wl, Type: t}})))
+	}
 	c.win.open = false
 	return true
 }
@@ -797,27 +763,27 @@ func (d *Device) InjectPowerLoss(a BlockAddr) bool {
 // reliability loss could not be repaired, so the loss stays visible instead
 // of flickering with the per-read outcome hash. Cleared by erase or program.
 func (d *Device) MarkLost(a PageAddr) error {
-	_, pg, err := d.pageAt(a)
+	_, idx, err := d.pageAt(a)
 	if err != nil {
 		return err
 	}
-	if !pg.programmed {
+	if !d.pages.Programmed(idx) {
 		return fmt.Errorf("%w: cannot mark erased page %v lost", ErrNotProgrammed, a)
 	}
-	pg.lost = true
+	d.pages.SetLost(idx)
 	return nil
 }
 
 // CorruptPage marks any programmed page as ECC-uncorrectable. Fault
 // injection for tests.
 func (d *Device) CorruptPage(a PageAddr) error {
-	_, pg, err := d.pageAt(a)
+	_, idx, err := d.pageAt(a)
 	if err != nil {
 		return err
 	}
-	if !pg.programmed {
+	if !d.pages.Programmed(idx) {
 		return fmt.Errorf("%w: cannot corrupt erased page %v", ErrNotProgrammed, a)
 	}
-	pg.corrupted = true
+	d.pages.SetCorrupted(idx)
 	return nil
 }

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 
+	"flexftl/internal/nand"
 	"flexftl/internal/nlevel"
 	"flexftl/internal/obs"
 	"flexftl/internal/rel"
@@ -138,19 +139,16 @@ func (a PageAddr) String() string {
 	return fmt.Sprintf("chip%d/blk%d/%v", a.Chip, a.Block, a.Page)
 }
 
-type page struct {
-	programmed bool
-	corrupted  bool
-	data       []byte
-	spare      []byte
-	// progAt is the retention clock zero (maintained when the reliability
-	// model is on).
-	progAt sim.Time
-}
+// Slot widths of the n-level device's page store: ftl.TokenSize-byte tokens
+// and parity pages, and spares up to nflex's 16-byte (block, level) parity
+// back-pointer. Wider payloads round-trip through the store's side table.
+const (
+	DataSlotBytes  = 16
+	SpareSlotBytes = 16
+)
 
 type block struct {
 	state      *nlevel.State
-	pages      []page
 	eraseCount int
 	// inFlight marks an unacknowledged refinement: level and word line.
 	inFlightLevel int // -1 when none
@@ -171,6 +169,7 @@ type Device struct {
 	timing   Timing
 	enforce  bool // enforce the relaxed constraint set (always on; field kept for clarity)
 	chips    []chip
+	pages    nand.PageStore // every page's flags and payload, by flat page number
 	chanFree []sim.Time
 	reads    []int64   // per chip
 	programs [][]int64 // per chip, per level
@@ -210,6 +209,7 @@ func NewDevice(g Geometry, t Timing) (*Device, error) {
 		timing:    t,
 		enforce:   true,
 		chips:     make([]chip, g.Chips()),
+		pages:     nand.NewPageStore(g.TotalPages(), DataSlotBytes, SpareSlotBytes),
 		chanFree:  make([]sim.Time, g.Channels),
 		reads:     make([]int64, g.Chips()),
 		programs:  make([][]int64, g.Chips()),
@@ -225,7 +225,6 @@ func NewDevice(g Geometry, t Timing) (*Device, error) {
 		for b := range blocks {
 			blocks[b] = block{
 				state:         nlevel.NewState(g.Scheme()),
-				pages:         make([]page, g.PagesPerBlock()),
 				inFlightLevel: -1,
 			}
 		}
@@ -313,6 +312,7 @@ func (d *Device) SetReliability(rc *rel.Config) error {
 	}
 	d.relCfg = rc
 	d.relCounts = make([]rel.Counts, d.geo.Chips())
+	d.pages.TrackProgAt()
 	return nil
 }
 
@@ -371,23 +371,30 @@ func (d *Device) blockAt(chipID, blk int) (*block, error) {
 	return &d.chips[chipID].blocks[blk], nil
 }
 
-func (d *Device) pageAt(a PageAddr) (*block, *page, error) {
+// firstPage is the page-store index of a block's first page.
+func (d *Device) firstPage(chipID, blk int) int {
+	return (chipID*d.geo.BlocksPerChip + blk) * d.geo.PagesPerBlock()
+}
+
+// pageAt validates a page address and returns its block and its index in
+// the page store.
+func (d *Device) pageAt(a PageAddr) (*block, int, error) {
 	blk, err := d.blockAt(a.Chip, a.Block)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	s := d.geo.Scheme()
 	if a.Page.WL < 0 || a.Page.WL >= s.WordLines || a.Page.Level < 0 || a.Page.Level >= s.Levels {
-		return nil, nil, fmt.Errorf("nandn: page %v out of range", a.Page)
+		return nil, 0, fmt.Errorf("nandn: page %v out of range", a.Page)
 	}
-	return blk, &blk.pages[s.Index(a.Page)], nil
+	return blk, d.firstPage(a.Chip, a.Block) + s.Index(a.Page), nil
 }
 
 // Program writes a page, enforcing the generalized relaxed order, and
 // returns the completion time. An in-flight refinement is recorded for
 // power-loss injection until AckProgram.
 func (d *Device) Program(a PageAddr, data, spare []byte, now sim.Time) (sim.Time, error) {
-	blk, pg, err := d.pageAt(a)
+	blk, idx, err := d.pageAt(a)
 	if err != nil {
 		return now, err
 	}
@@ -410,13 +417,7 @@ func (d *Device) Program(a PageAddr, data, spare []byte, now sim.Time) (sim.Time
 	}
 
 	blk.state.Mark(a.Page)
-	pg.programmed = true
-	pg.corrupted = false
-	pg.data = append(pg.data[:0], data...)
-	pg.spare = append(pg.spare[:0], spare...)
-	if d.relCfg != nil {
-		pg.progAt = done
-	}
+	d.pages.Store(idx, data, spare, done)
 	d.programs[a.Chip][a.Page.Level]++
 
 	if a.Page.Level > 0 {
@@ -438,21 +439,22 @@ func (d *Device) AckProgram(chipID, blk int) {
 }
 
 // readPage performs the timing and validity checks shared by Read and
-// ReadInto, returning the sensed page.
-func (d *Device) readPage(a PageAddr, now sim.Time) (*page, sim.Time, error) {
-	blk, pg, err := d.pageAt(a)
+// ReadInto, returning the sensed page's store index.
+func (d *Device) readPage(a PageAddr, now sim.Time) (int, sim.Time, error) {
+	blk, idx, err := d.pageAt(a)
 	if err != nil {
-		return nil, now, err
+		return 0, now, err
 	}
 	ch := d.geo.ChannelOf(a.Chip)
 	c := &d.chips[a.Chip]
 	start := sim.MaxOf(now, c.readyAt)
 	// Reliability outcome before timing commits, so retry rounds extend the
 	// sense phase (see nand.Device.readPage).
+	programmed, corrupted := d.pages.Programmed(idx), d.pages.Corrupted(idx)
 	var outcome rel.Outcome
-	if rc := d.relCfg; rc != nil && pg.programmed && !pg.corrupted {
+	if rc := d.relCfg; rc != nil && programmed && !corrupted {
 		blk.readCount++
-		age := start - pg.progAt
+		age := start - d.pages.ProgAt(idx)
 		if age < 0 {
 			age = 0
 		}
@@ -486,25 +488,26 @@ func (d *Device) readPage(a PageAddr, now sim.Time) (*page, sim.Time, error) {
 	if d.rec != nil {
 		d.histRead.Record(int64(done - start))
 	}
-	if !pg.programmed {
-		return nil, done, fmt.Errorf("%w: %v", ErrNotProgrammed, a)
+	if !programmed {
+		return 0, done, fmt.Errorf("%w: %v", ErrNotProgrammed, a)
 	}
-	if pg.corrupted {
-		return nil, done, fmt.Errorf("%w: %v", ErrUncorrectable, a)
+	if corrupted {
+		return 0, done, fmt.Errorf("%w: %v", ErrUncorrectable, a)
 	}
 	if outcome.Uncorrectable {
-		return nil, done, fmt.Errorf("%w: %v", rel.ErrUncorrectable, a)
+		return 0, done, fmt.Errorf("%w: %v", rel.ErrUncorrectable, a)
 	}
-	return pg, done, nil
+	return idx, done, nil
 }
 
 // Read returns the page payload/spare and completion time.
 func (d *Device) Read(a PageAddr, now sim.Time) (data, spare []byte, done sim.Time, err error) {
-	pg, done, err := d.readPage(a, now)
+	idx, done, err := d.readPage(a, now)
 	if err != nil {
 		return nil, nil, done, err
 	}
-	return append([]byte(nil), pg.data...), append([]byte(nil), pg.spare...), done, nil
+	data, spare = d.pages.Payload(idx)
+	return append([]byte(nil), data...), append([]byte(nil), spare...), done, nil
 }
 
 // PageBuf is a caller-owned destination for ReadInto; its backing arrays
@@ -517,13 +520,14 @@ type PageBuf struct {
 // buf's reusable backing arrays. Timing, counters and error behaviour
 // match Read; on error buf's slices are truncated to zero length.
 func (d *Device) ReadInto(a PageAddr, buf *PageBuf, now sim.Time) (done sim.Time, err error) {
-	pg, done, err := d.readPage(a, now)
+	idx, done, err := d.readPage(a, now)
 	if err != nil {
 		buf.Data, buf.Spare = buf.Data[:0], buf.Spare[:0]
 		return done, err
 	}
-	buf.Data = append(buf.Data[:0], pg.data...)
-	buf.Spare = append(buf.Spare[:0], pg.spare...)
+	data, spare := d.pages.Payload(idx)
+	buf.Data = append(buf.Data[:0], data...)
+	buf.Spare = append(buf.Spare[:0], spare...)
 	return done, nil
 }
 
@@ -542,9 +546,8 @@ func (d *Device) Erase(chipID, blk int, now sim.Time) (sim.Time, error) {
 		d.histErase.Record(int64(done - start))
 	}
 	b.state.Reset()
-	for i := range b.pages {
-		b.pages[i] = page{}
-	}
+	first := d.firstPage(chipID, blk)
+	d.pages.Erase(first, first+d.geo.PagesPerBlock())
 	b.eraseCount++
 	b.readCount = 0
 	b.inFlightLevel = -1
@@ -562,11 +565,12 @@ func (d *Device) InjectPowerLoss(chipID, blk int) int {
 		return 0
 	}
 	s := d.geo.Scheme()
+	first := d.firstPage(chipID, blk)
 	n := 0
 	for lvl := 0; lvl <= b.inFlightLevel; lvl++ {
-		pg := &b.pages[s.Index(nlevel.Page{WL: b.inFlightWL, Level: lvl})]
-		if pg.programmed && !pg.corrupted {
-			pg.corrupted = true
+		i := first + s.Index(nlevel.Page{WL: b.inFlightWL, Level: lvl})
+		if d.pages.Programmed(i) && !d.pages.Corrupted(i) {
+			d.pages.SetCorrupted(i)
 			n++
 		}
 	}

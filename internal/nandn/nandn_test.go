@@ -178,6 +178,26 @@ func TestPowerLossDestroysEarlierBits(t *testing.T) {
 	if _, _, _, err := d.Read(pa(0, 0, 1, 0), now); err != nil {
 		t.Errorf("unrelated page damaged: %v", err)
 	}
+	// An erase drops the corruption with the data; a fresh program reads
+	// clean.
+	if now, err = d.Erase(0, 0, now); err != nil {
+		t.Fatal(err)
+	}
+	for lvl := 0; lvl < 3; lvl++ {
+		if _, _, _, err := d.Read(pa(0, 0, 0, lvl), now); !errors.Is(err, ErrNotProgrammed) {
+			t.Errorf("T%d(0) read after erase: err = %v, want ErrNotProgrammed", lvl, err)
+		}
+	}
+	for _, p := range nlevel.RelaxedFullOrder(s) {
+		if now, err = d.Program(PageAddr{Chip: 0, Block: 0, Page: p}, []byte{2}, nil, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for lvl := 0; lvl < 3; lvl++ {
+		if got, _, _, err := d.Read(pa(0, 0, 0, lvl), now); err != nil || !bytes.Equal(got, []byte{2}) {
+			t.Errorf("T%d(0) read after reprogram: %x, err = %v", lvl, got, err)
+		}
+	}
 }
 
 func TestAckClosesWindow(t *testing.T) {
@@ -389,5 +409,116 @@ func TestReadIntoZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("ReadInto allocates %v times per read, want 0", allocs)
+	}
+}
+
+// TestProgramAndEraseAllocateNothing pins the page store's write path at
+// zero allocations: programming never-written pages, erasing blocks, and
+// programming the pages of erased and reused blocks (an erase used to drop
+// each page's payload capacity, so every reprogram allocated twice). Each
+// run fills (or erases) one whole block with slot-sized payloads.
+func TestProgramAndEraseAllocateNothing(t *testing.T) {
+	d := testDevice(t)
+	g := d.Geometry()
+	order := nlevel.RelaxedFullOrder(g.Scheme())
+	data, spare := make([]byte, DataSlotBytes), make([]byte, SpareSlotBytes)
+	var now sim.Time
+	next := 0
+	nextBlock := func() (chip, blk int) {
+		chip, blk = next%g.Chips(), next/g.Chips()
+		next++
+		return chip, blk
+	}
+	fill := func() {
+		chip, blk := nextBlock()
+		for _, p := range order {
+			var err error
+			if now, err = d.Program(PageAddr{Chip: chip, Block: blk, Page: p}, data, spare, now); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	erase := func() {
+		chip, blk := nextBlock()
+		var err error
+		if now, err = d.Erase(chip, blk, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runs := g.TotalBlocks() - 1 // AllocsPerRun adds one warm-up call
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"program never-written block", fill},
+		{"erase", erase},
+		{"program erased and reused block", fill},
+	} {
+		next = 0
+		if n := testing.AllocsPerRun(runs, c.f); n != 0 {
+			t.Errorf("%s: %v allocations per block, want 0", c.name, n)
+		}
+	}
+}
+
+// TestWidePayloadsRoundTrip covers the shared store's side table on the
+// n-level device: payloads wider than the inline slots read back intact
+// through Read and ReadInto without aliasing, an erase drops them, and a
+// short reprogram reads back short.
+func TestWidePayloadsRoundTrip(t *testing.T) {
+	d := testDevice(t)
+	g := d.Geometry()
+	wide := []struct{ data, spare []byte }{
+		{[]byte("zero copy payload"), []byte{0x42}},
+		{[]byte("hello page payload"), []byte{0xde, 0xad}},
+		{bytes.Repeat([]byte{0xa5}, g.PageSizeBytes), bytes.Repeat([]byte{0x5a}, g.SpareBytes)},
+		{[]byte("short"), bytes.Repeat([]byte{0x11}, SpareSlotBytes+1)},
+	}
+	order := nlevel.RelaxedFullOrder(g.Scheme())
+	var now sim.Time
+	var err error
+	for i, w := range wide {
+		in := append([]byte(nil), w.data...)
+		if now, err = d.Program(PageAddr{Chip: 1, Block: 2, Page: order[i]}, in, w.spare, now); err != nil {
+			t.Fatal(err)
+		}
+		in[0] ^= 0xff // the store must hold its own copy
+	}
+	var buf PageBuf
+	for i, w := range wide {
+		a := PageAddr{Chip: 1, Block: 2, Page: order[i]}
+		data, spare, done, err := d.Read(a, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, w.data) || !bytes.Equal(spare, w.spare) {
+			t.Fatalf("Read %v: payload mismatch", a)
+		}
+		data[0] ^= 0xff
+		spare[0] ^= 0xff
+		if now, err = d.ReadInto(a, &buf, done); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Data, w.data) || !bytes.Equal(buf.Spare, w.spare) {
+			t.Fatalf("ReadInto %v after mutating Read's copy: payload mismatch", a)
+		}
+		buf.Data[0] ^= 0xff
+		if data, _, now, err = d.Read(a, now); err != nil || !bytes.Equal(data, w.data) {
+			t.Fatalf("Read %v after mutating ReadInto's buffer: payload mismatch (err %v)", a, err)
+		}
+	}
+	if now, err = d.Erase(1, 2, now); err != nil {
+		t.Fatal(err)
+	}
+	for i := range wide {
+		short := []byte{byte(i)}
+		a := PageAddr{Chip: 1, Block: 2, Page: order[i]}
+		if now, err = d.Program(a, short, short, now); err != nil {
+			t.Fatal(err)
+		}
+		data, spare, _, err := d.Read(a, now)
+		if err != nil || !bytes.Equal(data, short) || !bytes.Equal(spare, short) {
+			t.Fatalf("short reprogram of %v read back %x/%x (err %v), want %x", a, data, spare, err, short)
+		}
 	}
 }
