@@ -24,6 +24,8 @@ import (
 	"flexftl/internal/metrics"
 	"flexftl/internal/nand"
 	"flexftl/internal/nandn"
+	"flexftl/internal/obs"
+	"flexftl/internal/rel"
 	"flexftl/internal/sim"
 	"flexftl/internal/ssd"
 	"flexftl/internal/workload"
@@ -260,6 +262,141 @@ func TestEquivalenceNflex(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			snap := captureNflex(t, prof)
 			checkGolden(t, name, &snap, func() any { return &nflexSnapshot{} })
+		})
+	}
+}
+
+// trimHeavy is the trim-stress profile: a quarter of requests are host
+// discards, so trim invalidation interleaves with GC constantly rather than
+// at Varmail's 5%.
+func trimHeavy() workload.Profile {
+	return workload.Profile{
+		Name: "TrimHeavy", ReadFraction: 0.25, Intensity: workload.IntensityHigh,
+		BurstLen: 256, IntraGap: 120 * sim.Microsecond, IdleGap: 5 * sim.Millisecond,
+		PagesMean: 1.5, PagesCap: 4, ZipfTheta: 0.9, TrimFraction: 0.25,
+	}
+}
+
+// regimeRequests is the request count of every serial-regime cell.
+const regimeRequests = 8000
+
+// regimeSnapshot is the pinned outcome of one serial-regime cell. Unlike
+// equivSnapshot it keeps the whole RunResult (latency percentiles and the
+// reliability summary) and the per-cause media busy time, and it covers the
+// n-level host too.
+type regimeSnapshot struct {
+	Run        ssd.RunResult
+	MapHash    uint64
+	FreeBlocks int
+	Reads      int64
+	Programs   []int64 // LSB, MSB on MLC devices; one per level on n-level ones
+	Erases     int64
+	CauseBusy  [obs.CauseCount]sim.Time
+}
+
+// buildRegimeSystem builds scheme on a 32-block-per-chip evaluation
+// geometry and prefills it to 88%, so an 8000-request run reaches GC steady
+// state instead of living off the free-block reserve. The prefill leaves
+// enough reserve that the sequential fill itself never collects, and the
+// 512-page buffer keeps GC-slowed service from turning every write into a
+// backpressure stall. preWear > 0 mounts the BER model with the kernel's
+// reliability responses and erases every block that many times first, so
+// the read-retry ladder engages during the run.
+func buildRegimeSystem(t *testing.T, scheme string, preWear int) (*ssd.System, ftl.Host) {
+	t.Helper()
+	g := experiments.EvalGeometry()
+	g.BlocksPerChip = 32
+	env := ftl.BuildEnv{Geometry: g, Config: ftl.DefaultConfig(), Flex: ftl.DefaultFlexParams()}
+	if preWear > 0 {
+		rc := rel.DefaultConfig(7)
+		env.Reliability = &rc
+		env.Config.Reliability = ftl.DefaultRelPolicy()
+	}
+	h, err := ftl.Build(scheme, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if preWear > 0 {
+		dev := h.(ftl.FTL).Device()
+		for chip := 0; chip < g.Chips(); chip++ {
+			for blk := 0; blk < g.BlocksPerChip; blk++ {
+				a := nand.BlockAddr{Chip: chip, Block: blk}
+				for i := 0; i < preWear; i++ {
+					if _, err := dev.Erase(a, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	cfg := ssd.DefaultConfig()
+	cfg.PrefillFraction = 0.88
+	cfg.BufferPages = 512
+	sys, err := ssd.New(h, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Prefill(); err != nil {
+		t.Fatal(err)
+	}
+	return sys, h
+}
+
+func captureRegime(t *testing.T, scheme string, prof workload.Profile, preWear int) regimeSnapshot {
+	t.Helper()
+	sys, h := buildRegimeSystem(t, scheme, preWear)
+	gen, err := workload.New(prof, h.LogicalPages(), regimeRequests, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := sys.Run(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.Metrics.BandwidthCDF = nil // see captureMLC
+	snap := regimeSnapshot{
+		Run:        run,
+		MapHash:    h.(interface{ MappingHash() uint64 }).MappingHash(),
+		FreeBlocks: h.(interface{ TotalFreeBlocks() int }).TotalFreeBlocks(),
+	}
+	switch h := h.(type) {
+	case ftl.FTL:
+		d := h.Device()
+		c := d.Counts()
+		snap.Reads, snap.Erases, snap.CauseBusy = c.Reads, c.Erases, d.CauseBusy()
+		snap.Programs = []int64{c.ProgramsLSB, c.ProgramsMSB}
+	case interface{ Device() *nandn.Device }:
+		d := h.Device()
+		snap.Reads, snap.Erases, snap.CauseBusy = d.Reads(), d.Erases(), d.CauseBusy()
+		snap.Programs = d.Programs()
+	default:
+		t.Fatalf("%T exposes no device", h)
+	}
+	return snap
+}
+
+// TestSerialRegimeGoldens pins the serial run in the regimes the
+// Varmail/OLTP goldens leave cold: every registry scheme in GC steady state
+// (write-heavy Fileserver) and under constant trims, plus the reliability
+// loop on a pre-worn device for one baseline and flexFTL.
+func TestSerialRegimeGoldens(t *testing.T) {
+	for _, scheme := range ftl.Names() {
+		for _, prof := range []workload.Profile{workload.Fileserver(), trimHeavy()} {
+			name := fmt.Sprintf("regime_%s_%s", scheme, prof.Name)
+			t.Run(name, func(t *testing.T) {
+				snap := captureRegime(t, scheme, prof, 0)
+				checkGolden(t, name, &snap, func() any { return &regimeSnapshot{} })
+			})
+		}
+	}
+	for _, scheme := range []string{"pageFTL", "flexFTL"} {
+		name := fmt.Sprintf("regime_rel6000_%s_Fileserver", scheme)
+		t.Run(name, func(t *testing.T) {
+			snap := captureRegime(t, scheme, workload.Fileserver(), 6000)
+			if rep := snap.Run.Reliability; rep == nil || rep.RetriedReads == 0 {
+				t.Fatalf("pre-worn run never engaged the retry ladder, so the golden is vacuous (report %+v)", rep)
+			}
+			checkGolden(t, name, &snap, func() any { return &regimeSnapshot{} })
 		})
 	}
 }
