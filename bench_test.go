@@ -417,61 +417,6 @@ func BenchmarkSSDRun(b *testing.B) {
 	}
 }
 
-// shardBenchGeometry widens the channel count to 4 (the evaluation
-// geometry's) so the epoch-sharded engine has enough independent shards to
-// spread over the worker pool; benchGeometry's 2 channels would cap the
-// speedup at 2x regardless of workers.
-func shardBenchGeometry() nand.Geometry {
-	return nand.Geometry{
-		Channels: 4, ChipsPerChannel: 2, BlocksPerChip: 64,
-		WordLinesPerBlock: 16, PageSizeBytes: 4096, SpareBytes: 64,
-	}
-}
-
-// BenchmarkSSDRunSharded measures the epoch-sharded engine against the
-// serial delegation at workers=1, one full prefill+workload simulation per
-// iteration on flexFTL. Run with -cpu 1,4 to sweep the host parallelism:
-// the -N suffix Go appends to each row IS the GOMAXPROCS of that run
-// (sub-benchmark names are fixed at discovery, so GOMAXPROCS cannot go in
-// the name itself); bench.sh rewrites that suffix into a /procsN segment
-// for this family instead of stripping it. The w1 row is the no-regression
-// guard against BenchmarkSSDRun; the wN rows only beat it when GOMAXPROCS
-// and the host core count allow real parallelism.
-func BenchmarkSSDRunSharded(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		workers := workers
-		b.Run(fmt.Sprintf("flexFTL/w%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			var pages int64
-			for i := 0; i < b.N; i++ {
-				f, err := experiments.BuildFTL("flexFTL", shardBenchGeometry())
-				if err != nil {
-					b.Fatal(err)
-				}
-				sys, err := ssd.New(f, ssd.DefaultConfig())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sys.Prefill(); err != nil {
-					b.Fatal(err)
-				}
-				gen, err := workload.New(workload.NTRX(), f.LogicalPages(), 6000, 42)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := sys.RunSharded(gen, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pages += res.Stats.HostWrites + res.Stats.HostReads
-			}
-			if s := b.Elapsed().Seconds(); s > 0 {
-				b.ReportMetric(float64(pages)/s, "pages/s")
-			}
-		})
-	}
-}
-
 // BenchmarkPickVictim isolates the victim-selection cost on a standalone pool
 // over synthetic valid counts: the indexed picker should stay flat as the
 // full list grows from 64 to 4096 blocks while the reference linear scan

@@ -10,7 +10,7 @@ import (
 
 func TestRunFig1(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, "fig1", 100, 1, false, 2, 0, 1, ""); err != nil {
+	if err := run(&sb, "fig1", 100, 1, false, 2, 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Figure 1", "LSB page program", "4.0x"} {
@@ -22,7 +22,7 @@ func TestRunFig1(t *testing.T) {
 
 func TestRunTable1(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, "table1", 100, 1, false, 2, 0, 1, ""); err != nil {
+	if err := run(&sb, "table1", 100, 1, false, 2, 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"OLTP", "Fileserver", "Very high"} {
@@ -34,7 +34,7 @@ func TestRunTable1(t *testing.T) {
 
 func TestRunFig4Tiny(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, "fig4a", 100, 1, false, 2, 2, 1, ""); err != nil {
+	if err := run(&sb, "fig4a", 100, 1, false, 2, 2, ""); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Figure 4", "RPSfull", "ECC failure"} {
@@ -46,7 +46,7 @@ func TestRunFig4Tiny(t *testing.T) {
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, "figZZ", 100, 1, false, 2, 0, 1, ""); err == nil {
+	if err := run(&sb, "figZZ", 100, 1, false, 2, 0, ""); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -55,7 +55,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 func TestRunMetricsDump(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")
 	var sb strings.Builder
-	if err := run(&sb, "table1", 100, 1, false, 2, 1, 1, path); err != nil {
+	if err := run(&sb, "table1", 100, 1, false, 2, 1, path); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -90,7 +90,7 @@ func TestRunMetricsDump(t *testing.T) {
 func TestRunMetricsSchemes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")
 	var sb strings.Builder
-	if err := run(&sb, "fig8a", 400, 1, false, 2, 0, 1, path); err != nil {
+	if err := run(&sb, "fig8a", 400, 1, false, 2, 0, path); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)

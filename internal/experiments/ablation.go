@@ -24,10 +24,6 @@ type AblationConfig struct {
 	// each variant is self-contained, so results are worker-count
 	// independent.
 	Workers int
-	// ShardWorkers is the intra-run epoch-shard worker count handed to
-	// ssd.RunSharded (<=1 = the serial engine); results are identical
-	// for any value.
-	ShardWorkers int
 }
 
 // DefaultAblationConfig keeps the sweep quick but distinguishable.
@@ -107,7 +103,7 @@ func RunAblations(cfg AblationConfig) (AblationResult, error) {
 		if err != nil {
 			return err
 		}
-		run, err := sys.RunSharded(gen, cfg.ShardWorkers)
+		run, err := sys.Run(gen)
 		if err != nil {
 			return fmt.Errorf("ablation %q: %w", v.name, err)
 		}
@@ -164,9 +160,8 @@ type PlacementSweepConfig struct {
 	// Schemes are the registry names compared; order is report order and
 	// each family's stock scheme should precede its placement variants so
 	// the renderer can compute deltas.
-	Schemes      []string
-	Workers      int
-	ShardWorkers int
+	Schemes []string
+	Workers int
 }
 
 // DefaultPlacementSweepConfig compares the stock schemes against their
@@ -247,7 +242,7 @@ func RunPlacementSweep(cfg PlacementSweepConfig) (PlacementSweepResult, error) {
 		if err != nil {
 			return err
 		}
-		run, err := sys.RunSharded(gen, cfg.ShardWorkers)
+		run, err := sys.Run(gen)
 		if err != nil {
 			return fmt.Errorf("placement %q theta=%.2f: %w", c.scheme, c.theta, err)
 		}

@@ -20,10 +20,6 @@ type Fig8Config struct {
 	// (0 = all cores, 1 = serial); each simulation is self-contained, so
 	// the matrix is identical for any value.
 	Workers int
-	// ShardWorkers is the intra-run epoch-shard worker count handed to
-	// ssd.RunSharded (<=1 = the serial engine). The 1-vs-N determinism
-	// contract makes the matrix identical for any value.
-	ShardWorkers int
 }
 
 // DefaultFig8Config balances fidelity and wall-clock time. The request count
@@ -101,7 +97,7 @@ func runOne(cfg Fig8Config, scheme string, prof workload.Profile) (*Fig8Cell, er
 	if err != nil {
 		return nil, err
 	}
-	res, err := sys.RunSharded(gen, cfg.ShardWorkers)
+	res, err := sys.Run(gen)
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", scheme, prof.Name, err)
 	}

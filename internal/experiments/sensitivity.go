@@ -40,10 +40,6 @@ type SensitivityConfig struct {
 	// point builds its own devices, so results are worker-count
 	// independent.
 	Workers int
-	// ShardWorkers is the intra-run epoch-shard worker count handed to
-	// ssd.RunSharded (<=1 = the serial engine); results are identical
-	// for any value.
-	ShardWorkers int
 }
 
 // DefaultSensitivityConfig covers the interesting ranges.
@@ -64,7 +60,7 @@ type SensitivityResult struct {
 	Buffer []SensitivityPoint
 }
 
-func runPair(g nand.Geometry, requests int, seed uint64, shardWorkers int, ftlCfg ftl.Config, runCfg ssd.Config) (flexR, pageR ssd.RunResult, err error) {
+func runPair(g nand.Geometry, requests int, seed uint64, ftlCfg ftl.Config, runCfg ssd.Config) (flexR, pageR ssd.RunResult, err error) {
 	build := func(scheme string) (ssd.RunResult, error) {
 		f, err := BuildFTLWith(scheme, g, ftlCfg)
 		if err != nil {
@@ -81,7 +77,7 @@ func runPair(g nand.Geometry, requests int, seed uint64, shardWorkers int, ftlCf
 		if err != nil {
 			return ssd.RunResult{}, err
 		}
-		return sys.RunSharded(gen, shardWorkers)
+		return sys.Run(gen)
 	}
 	flexR, err = build("flexFTL")
 	if err != nil {
@@ -141,7 +137,7 @@ func RunSensitivity(cfg SensitivityConfig) (SensitivityResult, error) {
 	points := make([]SensitivityPoint, len(tasks))
 	err := par.Run(par.Workers(cfg.Workers), len(tasks), func(_, i int) error {
 		t := tasks[i]
-		flexR, pageR, err := runPair(cfg.Geometry, cfg.Requests, cfg.Seed, cfg.ShardWorkers, t.ftlCfg, t.runCfg)
+		flexR, pageR, err := runPair(cfg.Geometry, cfg.Requests, cfg.Seed, t.ftlCfg, t.runCfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", t.wrap, err)
 		}

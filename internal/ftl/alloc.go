@@ -195,12 +195,6 @@ func (a *adaptiveAlloc) chooseGC(k *Kernel, chip int) Pref {
 // unbounded LSB surplus whose blocks carry GC-filled (cold, long-valid) MSB
 // halves, putting a floor under every future victim's valid count.
 func (a *adaptiveAlloc) onProgram(k *Kernel, isLSB, fromGC bool) {
-	if k.shardExec {
-		// Epoch-sharded execution freezes q; the barrier replays the exact
-		// arithmetic in global write order (quota-sign stability was checked
-		// at planning time, so frozen-q decisions match serial ones).
-		return
-	}
 	if isLSB {
 		if !fromGC || k.inBGC {
 			a.q--

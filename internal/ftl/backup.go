@@ -42,11 +42,6 @@ type BackupStrategy interface {
 	// returning false leave the window open until their own recovery story
 	// (or nothing, for NoBackupStrategy) takes over.
 	coversMSB() bool
-	// shardPops bounds, from the chip's current backup-block state, the free
-	// blocks the strategy can pop while the order policy serves lsbWrites
-	// LSB data programs and completes fills fast blocks (the epoch planner's
-	// R5 input; lsbWrites is an upper bound on the actual LSB share).
-	shardPops(k *Kernel, chip, lsbWrites, fills int) int
 }
 
 // NoBackupStrategy returns the empty strategy: no pre-backup at all, the
@@ -66,9 +61,6 @@ func (noBackup) onFastComplete(k *Kernel, chip, stream, fastBlk int, done sim.Ti
 }
 func (noBackup) onSlowComplete(*Kernel, int, int) {}
 func (noBackup) coversMSB() bool                  { return false }
-func (noBackup) shardPops(*Kernel, int, int, int) int {
-	return 0
-}
 
 // PairParityBackup returns the adaptive paired-page pre-backup of Lee et al.
 // (TCAD 2014): under FPS at most pairSize LSB pages can share one parity
@@ -199,27 +191,6 @@ func (b *pairParity) onSlowComplete(*Kernel, int, int) {}
 // bound), so the destructive window is power-safe at issue time.
 func (b *pairParity) coversMSB() bool { return true }
 
-// shardPops: lsbWrites LSB programs emit at most (pending+lsbWrites)/pairSize
-// parity pages; the current backup block absorbs its remaining capacity, and
-// each further block's worth of emissions pops one ring block.
-func (b *pairParity) shardPops(k *Kernel, chip, lsbWrites, fills int) int {
-	if lsbWrites <= 0 {
-		return 0
-	}
-	emissions := (b.pbuf[chip].Count() + lsbWrites) / b.pairSize
-	if emissions == 0 {
-		return 0
-	}
-	room := 0
-	if ring := &b.ring[chip]; ring.cur != -1 {
-		room = len(b.order) - ring.pos
-	}
-	if emissions <= room {
-		return 0
-	}
-	return 1 + (emissions-room-1)/len(b.order)
-}
-
 // BlockParityBackup returns the paper's per-block parity scheme (Section
 // 3.3): one XOR parity page protects all LSB pages of a two-phase fast
 // block, written once when the fast block fills, invalidated when its slow
@@ -262,8 +233,8 @@ type blockParity struct {
 	pbuf   [][]*parity.Buffer
 	backup []backupState // per chip
 	// refs maps flat fast-block index -> parity location, as a flat slice
-	// (backupBlk -1 = none) so channel shards of one run can write disjoint
-	// chip-owned entries without sharing a map's internals.
+	// (backupBlk -1 = none): one indexed load per lookup, no map hashing or
+	// growth on the fast-block life cycle.
 	refs  []parityRef
 	psnap [][][]byte // [chip][stream]: scratch for parity snapshots (Program copies)
 }
@@ -418,24 +389,6 @@ func (b *blockParity) backupBlockSet(chip int) map[int]bool {
 // window of each MSB program stays open until its slow block completes
 // (recover2po.go reconstructs the pair after a crash).
 func (b *blockParity) coversMSB() bool { return false }
-
-// shardPops: one parity page per completed fast block; the current backup
-// block absorbs its remaining LSB capacity, and each further word-lines'
-// worth of parities pops one backup block.
-func (b *blockParity) shardPops(k *Kernel, chip, lsbWrites, fills int) int {
-	if fills <= 0 {
-		return 0
-	}
-	wl := k.Dev.Geometry().WordLinesPerBlock
-	room := 0
-	if bk := &b.backup[chip]; bk.cur != -1 {
-		room = wl - bk.pos
-	}
-	if fills <= room {
-		return 0
-	}
-	return 1 + (fills-room-1)/wl
-}
 
 // spareForBlock encodes the inverse mapping (backup page -> protected block)
 // stored in the parity page's spare area.

@@ -49,21 +49,14 @@ type Base struct {
 	// repairRead attempts an in-place parity rebuild of an ECC-lost page,
 	// leaving the payload in Buf on success. Set by NewKernel when the
 	// mounted backup strategy can rebuild (blockParity) and the reliability
-	// policy is on; nil otherwise. It takes the Base explicitly — shard
-	// clones copy Base by value, and a closure over the original kernel
-	// would repair into the wrong buffer and stats.
-	repairRead func(b *Base, lpn LPN, lost nand.PageAddr, now sim.Time) (sim.Time, bool)
+	// policy is on; nil otherwise.
+	repairRead func(lpn LPN, lost nand.PageAddr, now sim.Time) (sim.Time, bool)
 
 	seq  int64    // global write sequence number (payload uniqueness)
 	rr   int      // round-robin chip cursor for host writes
 	inGC bool     // guards against GC re-entry through alloc callbacks
 	bg   bgVictim // in-progress background-GC victim (survives idle windows)
 	hyst bool     // background-GC hysteresis latch
-	// shardExec marks a per-channel shard clone of the epoch-sharded run
-	// engine (shard.go): the adaptive quota freezes (the barrier replays it)
-	// and GC must be unreachable (the planner's free-block margin guarantees
-	// it; CollectVictim panics if the guarantee breaks).
-	shardExec bool
 
 	// Blame counters (nil without a recorder): host-visible stall charged to
 	// foreground GC, backup-program completion extension, and the two-phase
@@ -310,12 +303,6 @@ func (b *Base) CollectVictim(chip, victim int, now sim.Time, alloc AllocFunc) (s
 // refresh scan reuses the whole collection machinery but charges its media
 // work to scrub, not GC.
 func (b *Base) collectVictim(chip, victim int, now sim.Time, alloc AllocFunc, cause obs.Cause) (sim.Time, error) {
-	if b.shardExec {
-		// The epoch planner's per-chip free margin must make foreground GC
-		// unreachable inside a shard; reaching here is a planner bug, not a
-		// recoverable condition.
-		panic(fmt.Sprintf("ftl: GC on chip %d during shard execution", chip))
-	}
 	if b.inGC {
 		return now, fmt.Errorf("ftl: re-entrant GC on chip %d", chip)
 	}
@@ -429,7 +416,7 @@ func (b *Base) ReadLPN(lpn LPN, now sim.Time) (sim.Time, error) {
 	if err != nil {
 		if errors.Is(err, rel.ErrUncorrectable) {
 			if b.repairRead != nil {
-				if t, ok := b.repairRead(b, lpn, addr, done); ok {
+				if t, ok := b.repairRead(lpn, addr, done); ok {
 					b.St.ECCRebuilds++
 					b.St.HostReads++
 					return t, nil

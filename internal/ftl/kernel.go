@@ -107,7 +107,9 @@ func NewKernel(dev *nand.Device, cfg Config, spec KernelSpec) (*Kernel, error) {
 		// from its stripe; other strategies leave repairRead nil (losses are
 		// detected, not masked).
 		if bp, ok := k.bk.(*blockParity); ok {
-			base.repairRead = bp.rebuildRead
+			base.repairRead = func(lpn LPN, lost nand.PageAddr, now sim.Time) (sim.Time, bool) {
+				return bp.rebuildRead(base, lpn, lost, now)
+			}
 		}
 	}
 	return k, nil
@@ -122,7 +124,39 @@ func (k *Kernel) Streams() int { return k.placement.streams() }
 // Write services a host page write. util is the write-buffer utilization the
 // allocation policy consumes (ignored by the fixed allocator).
 func (k *Kernel) Write(lpn LPN, now sim.Time, util float64) (sim.Time, error) {
-	return k.writeOn(k.NextChip(), lpn, now, util)
+	chip := k.NextChip()
+	// Classify at arrival, before foreground GC can advance the clock: the
+	// heat decay sees the write's arrival time, not the end of the in-line
+	// collection it may trigger.
+	stream := k.placement.classify(k, lpn, now, false)
+	var err error
+	gcStart := now
+	now, err = k.ord.foregroundGC(k, chip, now)
+	if err != nil {
+		return now, err
+	}
+	if now > gcStart {
+		k.ctrBlameGC.Add(int64(now - gcStart))
+	}
+	pref := k.alloc.chooseHost(k, chip, util, now)
+	done, err := k.ord.program(k, chip, stream, pref, lpn, k.Token(lpn), k.Spare(lpn), now, false)
+	if err != nil {
+		return now, err
+	}
+	k.St.HostWrites++
+	if k.placement.streams() > 1 {
+		// Stream-split accounting only where placement actually separates
+		// streams, so single-stream schemes keep byte-identical stats.
+		if stream == streamHot {
+			k.St.HostWritesHot++
+		} else {
+			k.St.HostWritesCold++
+		}
+	}
+	if k.pred != nil {
+		k.pred.ObserveWrite()
+	}
+	return done, nil
 }
 
 // Read services a host page read.

@@ -21,36 +21,7 @@ type Mapper struct {
 	// the affected flat block — the mapper→pool notification keeping the
 	// GC victim index coherent. Nil (standalone mappers) costs nothing.
 	onValidChange func(flatBlock int)
-	// logging marks a shard-mode view: Update defers its mutation into log
-	// instead of touching the shared tables (see logView).
-	logging bool
-	log     []mapLogEntry
 }
-
-// mapLogEntry records one deferred Update in a shard-mode mapper view.
-type mapLogEntry struct {
-	lpn LPN
-	ppn nand.PPN
-}
-
-// logView returns a shard-mode view of the mapper: reads (Lookup, LPNAt,
-// ValidCount, page scans) see the pre-epoch state through the shared tables,
-// while Update appends to a private per-view log instead of mutating,
-// returning the pre-epoch mapping of the LPN. The epoch barrier replays the
-// logs on the real mapper in deterministic global order. The returned "old"
-// PPN is exact only because epoch formation forbids two ops on the same LPN
-// within an epoch.
-func (m *Mapper) logView() *Mapper {
-	v := *m
-	v.logging = true
-	v.log = nil
-	v.onValidChange = nil
-	return &v
-}
-
-// resetLog clears a view's deferred-update log for the next epoch, keeping
-// its capacity.
-func (m *Mapper) resetLog() { m.log = m.log[:0] }
 
 // SetValidHook registers the valid-count change notification (nil detaches).
 func (m *Mapper) SetValidHook(fn func(flatBlock int)) { m.onValidChange = fn }
@@ -128,12 +99,6 @@ func (m *Mapper) Update(lpn LPN, newPPN nand.PPN) nand.PPN {
 		panic(fmt.Sprintf("ftl: PPN %d already holds LPN %d", newPPN, m.p2l[newPPN]))
 	}
 	old := m.l2p[lpn]
-	if m.logging {
-		// Shard mode: defer the mutation for the barrier replay. old is the
-		// pre-epoch mapping, exact under the epoch's unique-LPN rule.
-		m.log = append(m.log, mapLogEntry{lpn: lpn, ppn: newPPN})
-		return old
-	}
 	if old != nand.InvalidPPN {
 		m.p2l[old] = -1
 		oldBlk := m.blockOf(old)

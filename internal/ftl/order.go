@@ -33,56 +33,12 @@ type OrderPolicy interface {
 	fastBudget(k *Kernel, chip int) int
 	// slowAvailable reports whether an MSB page can be programmed at all.
 	slowAvailable(k *Kernel, chip int) bool
-	// shardGCTrigger is the free-block level at or above which this policy's
-	// foregroundGC provably does nothing (the epoch planner's R5 threshold).
-	shardGCTrigger(k *Kernel) int
-	// shardWriteImpact bounds, from the chip's current cursor state, the free
-	// blocks w host writes can pop and the data blocks they can complete
-	// (fills drive the per-block backup strategies' own pops), under the
-	// worst-case routing of the writes across placement streams.
-	shardWriteImpact(k *Kernel, chip, w int) (pops, fills int)
-	// shardWriteImpactMin is shardWriteImpact's best-case-routing
-	// counterpart: the fewest pops/fills *some* stream routing of the w
-	// writes could cause. The planner uses the gap between the two to
-	// attribute a failed headroom check to placement uncertainty (Rp)
-	// rather than true GC proximity (R5). Single-stream policies have no
-	// routing freedom, so both bounds coincide.
-	shardWriteImpactMin(k *Kernel, chip, w int) (pops, fills int)
 }
 
 // cursor tracks one active block's program position.
 type cursor struct {
 	blk int // -1 when no active block
 	pos int
-}
-
-// worstCaseUnits bounds how many unit events (free-block pops or block
-// fills) w same-type writes can force across placement streams, where
-// stream i's first event costs firstCosts[i] writes and every further event
-// on any stream costs ppb writes (a fresh block's full page count). The
-// adversary routes writes to trigger events as cheaply as possible: for m
-// streams engaged it pays the m smallest first-event costs, then buys extra
-// events at ppb apiece; the maximum over m is the bound. With one stream
-// this is exactly the pre-placement-axis arithmetic: ceil((w-slack)/ppb)
-// pops and (w+pos)/ppb fills.
-func worstCaseUnits(firstCosts []int, w, ppb int) int {
-	// Insertion sort: stream counts are tiny (1–2).
-	for i := 1; i < len(firstCosts); i++ {
-		for j := i; j > 0 && firstCosts[j] < firstCosts[j-1]; j-- {
-			firstCosts[j], firstCosts[j-1] = firstCosts[j-1], firstCosts[j]
-		}
-	}
-	best, spent := 0, 0
-	for m := 1; m <= len(firstCosts); m++ {
-		spent += firstCosts[m-1]
-		if spent > w {
-			break
-		}
-		if got := m + (w-spent)/ppb; got > best {
-			best = got
-		}
-	}
-	return best
 }
 
 // FPSOrderPolicy returns the strict fixed-program-sequence order: one active
@@ -93,11 +49,6 @@ func FPSOrderPolicy() OrderPolicy { return &fpsSingle{} }
 type fpsSingle struct {
 	order  []core.Page // the canonical FPS order, shared by every block
 	active [][]cursor  // [chip][stream]
-
-	// impactScratch backs shardWriteImpact's first-cost accumulation. Only
-	// the serial epoch planner calls it, so a single scratch is race-free
-	// even though the policy object is shared with the shard clones.
-	impactScratch []int
 }
 
 func (o *fpsSingle) init(k *Kernel) error {
@@ -183,58 +134,6 @@ func (o *fpsSingle) slowAvailable(k *Kernel, chip int) bool {
 	return false
 }
 
-func (o *fpsSingle) shardGCTrigger(k *Kernel) int {
-	return k.Cfg.MinFreeBlocksPerChip + k.bk.extraReserve() + k.placement.streams() - 1
-}
-
-func (o *fpsSingle) shardWriteImpact(k *Kernel, chip, w int) (pops, fills int) {
-	ppb := len(o.order)
-	costs := o.impactScratch[:0]
-	// First-pop costs: writing a stream's remaining slack fills its block
-	// and the next write pops (slack 0 for a streams with no active block).
-	for _, cur := range o.active[chip] {
-		slack := 0
-		if cur.blk != -1 {
-			slack = ppb - cur.pos
-		}
-		costs = append(costs, slack+1)
-	}
-	pops = worstCaseUnits(costs, w, ppb)
-	// First-fill costs: a stream's open block completes after its remaining
-	// pages (a fresh stream needs a whole block's worth).
-	costs = costs[:0]
-	for _, cur := range o.active[chip] {
-		fc := ppb
-		if cur.blk != -1 {
-			fc = ppb - cur.pos
-		}
-		costs = append(costs, fc)
-	}
-	fills = worstCaseUnits(costs, w, ppb)
-	o.impactScratch = costs
-	return pops, fills
-}
-
-// shardWriteImpactMin: best-case routing spreads writes over the pooled
-// slack of every stream before any pop, and completes no block at all
-// (fills 0) by round-robining below each block's capacity.
-func (o *fpsSingle) shardWriteImpactMin(k *Kernel, chip, w int) (pops, fills int) {
-	if len(o.active[chip]) == 1 {
-		return o.shardWriteImpact(k, chip, w)
-	}
-	ppb := len(o.order)
-	slack := 0
-	for _, cur := range o.active[chip] {
-		if cur.blk != -1 {
-			slack += ppb - cur.pos
-		}
-	}
-	if w > slack {
-		pops = (w - slack + ppb - 1) / ppb
-	}
-	return pops, 0
-}
-
 // FPSPoolOrderPolicy returns the return-to-fast order modeled on Grupp et
 // al.'s Harey Tortoise: each chip keeps a pool of slots active blocks under
 // FPS so successive writes can land on fast LSB pages, and the idle drain
@@ -248,11 +147,6 @@ type fpsPool struct {
 	slots  int
 	order  []core.Page
 	active [][]cursor // [chip][slot]; blk -1 when the slot awaits a block
-
-	// impactScratch backs shardWriteImpact's remaining-page sort. Only the
-	// serial epoch planner calls it, so a single scratch is race-free even
-	// though the policy object is shared with the shard clones.
-	impactScratch []int
 }
 
 func (o *fpsPool) init(k *Kernel) error {
@@ -520,53 +414,6 @@ func (o *fpsPool) fastBudget(k *Kernel, chip int) int {
 
 func (o *fpsPool) slowAvailable(k *Kernel, chip int) bool { return o.chipHasMSBNext(chip) }
 
-func (o *fpsPool) shardGCTrigger(k *Kernel) int {
-	return k.Cfg.MinFreeBlocksPerChip + k.bk.extraReserve()
-}
-
-// shardWriteImpact for the pool order: empty slots each refill with one pop
-// at the next program; filled slots complete after their remaining pages,
-// and every completion triggers at most one refill pop. Packing writes into
-// the fullest slots first matches pickSlot's actual preference, so the fill
-// count is a true upper bound regardless of the LSB/MSB interleaving.
-func (o *fpsPool) shardWriteImpact(k *Kernel, chip, w int) (pops, fills int) {
-	ppb := len(o.order)
-	empty := 0
-	rems := o.impactScratch[:0]
-	for _, cur := range o.active[chip] {
-		if cur.blk == -1 {
-			empty++
-			continue
-		}
-		rems = append(rems, ppb-cur.pos)
-	}
-	o.impactScratch = rems
-	// Ascending remaining-page order = fullest-first completion order.
-	for i := 1; i < len(rems); i++ {
-		for j := i; j > 0 && rems[j] < rems[j-1]; j-- {
-			rems[j], rems[j-1] = rems[j-1], rems[j]
-		}
-	}
-	left := w
-	for _, rem := range rems {
-		if left < rem {
-			left = 0
-			break
-		}
-		fills++
-		left -= rem
-	}
-	fills += left / ppb
-	pops = empty + fills
-	return pops, fills
-}
-
-// shardWriteImpactMin: the pool order is single-stream (enforced at init),
-// so placement has no routing freedom and both bounds coincide.
-func (o *fpsPool) shardWriteImpactMin(k *Kernel, chip, w int) (pops, fills int) {
-	return o.shardWriteImpact(k, chip, w)
-}
-
 // TwoPhaseOrderPolicy returns the paper's 2PO block life cycle (Figure 6):
 // each block is first filled with LSB pages only (a "fast block"), then with
 // MSB pages only (a "slow block") — the RPSfull order of Figure 3(a). Free
@@ -607,10 +454,6 @@ type twoPhaseChip struct {
 
 type twoPhase struct {
 	chips []twoPhaseChip
-
-	// impactScratch backs shardWriteImpact's first-cost accumulation (serial
-	// planner only, like the other policies' scratch).
-	impactScratch []int
 }
 
 func (o *twoPhase) init(k *Kernel) error {
@@ -828,65 +671,4 @@ func (o *twoPhase) slowAvailable(k *Kernel, chip int) bool {
 		}
 	}
 	return false
-}
-
-// shardGCTrigger: the two-phase foreground collector fires when some stream
-// has no slow block and the chip has fewer than reserve+1 free blocks, or
-// fewer than 2 free blocks outright; free >= max(reserve+1, 2) rules out
-// both conditions (Config.Validate guarantees MinFreeBlocksPerChip >= 1).
-func (o *twoPhase) shardGCTrigger(k *Kernel) int {
-	streams := k.placement.streams()
-	t := k.Cfg.MinFreeBlocksPerChip + streams
-	if t < 1+streams {
-		t = 1 + streams
-	}
-	return t
-}
-
-// shardWriteImpact for 2PO: MSB programs never pop free blocks, so the worst
-// case is all w writes landing on LSB pages, routed adversarially across the
-// streams' active fast block chains.
-func (o *twoPhase) shardWriteImpact(k *Kernel, chip, w int) (pops, fills int) {
-	wl := k.Dev.Geometry().WordLinesPerBlock
-	sts := o.chips[chip].streams
-	costs := o.impactScratch[:0]
-	for s := range sts {
-		slack := 0
-		if sts[s].afb != -1 {
-			slack = wl - sts[s].afbPos
-		}
-		costs = append(costs, slack+1)
-	}
-	pops = worstCaseUnits(costs, w, wl)
-	costs = costs[:0]
-	for s := range sts {
-		fc := wl
-		if sts[s].afb != -1 {
-			fc = wl - sts[s].afbPos
-		}
-		costs = append(costs, fc)
-	}
-	fills = worstCaseUnits(costs, w, wl)
-	o.impactScratch = costs
-	return pops, fills
-}
-
-// shardWriteImpactMin: best-case routing fills the pooled LSB slack of every
-// stream before popping, and completes no fast block (fills 0).
-func (o *twoPhase) shardWriteImpactMin(k *Kernel, chip, w int) (pops, fills int) {
-	sts := o.chips[chip].streams
-	if len(sts) == 1 {
-		return o.shardWriteImpact(k, chip, w)
-	}
-	wl := k.Dev.Geometry().WordLinesPerBlock
-	slack := 0
-	for s := range sts {
-		if sts[s].afb != -1 {
-			slack += wl - sts[s].afbPos
-		}
-	}
-	if w > slack {
-		pops = (w - slack + wl - 1) / wl
-	}
-	return pops, 0
 }

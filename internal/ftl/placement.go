@@ -15,14 +15,13 @@ import (
 // implementations come from SinglePlacementPolicy / HotColdPlacementPolicy /
 // WearAwarePlacementPolicy.
 //
-// Contract, relied on by the epoch-sharded engine (internal/ssd/shard.go):
+// Contract:
 //   - classify(fromGC=true) returns 0 and mutates nothing, so GC relocations
-//     always ride the cold stream and plan-time GC pre-runs stay byte-exact.
+//     always ride the cold stream and never count as writes in the heat
+//     history.
 //   - classify(fromGC=false) may consult only the LPN's own arrival-time
-//     history (never cross-LPN or cursor state), so the hot/cold decision is
-//     identical whether the write executes serially or on a channel shard.
-//   - pickFree reads only chip-local state (the chip's free pool and its
-//     blocks' erase counts), so channel shards never couple through it.
+//     history (never cross-LPN or cursor state), so the hot/cold decision
+//     does not depend on how other LPNs' writes interleave with it.
 type PlacementPolicy interface {
 	init(k *Kernel) error
 	// streams is the number of data streams per chip (1 = today's behavior).
@@ -90,9 +89,8 @@ type heatEntry struct {
 }
 
 // heatTable learns per-LPN write frequency with lazily-decayed counters. It
-// is a flat slice, not a map: channel shards of one run touch disjoint LPNs
-// inside an epoch (planner rule R1), so concurrent touches land on distinct
-// elements and the table needs no lock.
+// is a flat slice indexed by LPN, not a map: one entry per logical page,
+// allocated once, with no hashing on the write path.
 type heatTable struct {
 	p   HotColdParams
 	ent []heatEntry
@@ -109,7 +107,7 @@ func (h *heatTable) init(k *Kernel) error {
 // touch decays the LPN's counter to now, counts the write, and returns the
 // updated count. Decay is whole halvings of the elapsed half-lives, so the
 // result depends only on the LPN's own write-arrival history — never on when
-// other LPNs were written — which keeps classification shard-deterministic.
+// other LPNs were written.
 func (h *heatTable) touch(lpn LPN, now sim.Time) uint32 {
 	e := &h.ent[lpn]
 	if h.p.HalfLife > 0 && now > e.stamp {

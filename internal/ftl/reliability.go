@@ -94,10 +94,6 @@ func (b *Base) BERBudget() float64 { return b.relBudget }
 // leaves service instead of returning to the free pool. The caller owns the
 // block (it is off all lists); retirement shrinks capacity by one block,
 // exactly like an erase-budget wear-out. Reports whether the block retired.
-//
-// Safe inside channel shards: the decision reads only the block's chip-local
-// wear, and the shard planner's free-block headroom counts pops, not pushes —
-// skipping the PushFree can only leave more margin.
 func (b *Base) maybeRetire(chip, blk int) bool {
 	if !b.relEnabled {
 		return false
@@ -120,7 +116,7 @@ func (b *Base) maybeRetire(chip, blk int) bool {
 // collection continues — one dead page must not leak a whole victim block.
 func (b *Base) relocateLost(lpn LPN, lost nand.PageAddr, now sim.Time) sim.Time {
 	if b.repairRead != nil {
-		if t, ok := b.repairRead(b, lpn, lost, now); ok {
+		if t, ok := b.repairRead(lpn, lost, now); ok {
 			b.St.ECCRebuilds++
 			return t
 		}
@@ -149,8 +145,7 @@ func (b *Base) markRelocatedLoss(lpn LPN) {
 // relIdle is the reliability slice of an idle window, run between background
 // GC and the order policy's own idle work: a bounded patrol-read scrub over
 // the mapped space, then a refresh scan that relocates full blocks whose
-// predicted BER approaches the ECC budget. Only ever called on the real
-// kernel (idle windows never execute inside channel shards).
+// predicted BER approaches the ECC budget.
 func (k *Kernel) relIdle(now, until sim.Time) sim.Time {
 	if !k.relEnabled {
 		return now
@@ -203,7 +198,7 @@ func (k *Kernel) scrubPatrol(now, until sim.Time) sim.Time {
 			return now // power-loss corruption etc.: not the scrubber's problem
 		}
 		if k.repairRead != nil {
-			if t2, ok := k.repairRead(k.Base, lpn, addr, now); ok {
+			if t2, ok := k.repairRead(lpn, addr, now); ok {
 				now = t2
 				k.St.ECCRebuilds++
 				// Re-home the rebuilt payload before the stripe loses a
@@ -285,9 +280,8 @@ func (k *Kernel) refreshScan(now, until sim.Time) sim.Time {
 // original read had succeeded, and the advanced chip time is returned.
 //
 // The rebuild is pure — no mapping updates, no programs — so it is legal on
-// every read path, including host reads inside channel shards (all reads
-// stay on the lost page's chip). Re-homing the data is the scrub patrol's
-// job, on the real kernel only.
+// every read path, host reads included. Re-homing the data is the scrub
+// patrol's job.
 func (bp *blockParity) rebuildRead(b *Base, lpn LPN, lost nand.PageAddr, now sim.Time) (sim.Time, bool) {
 	if lost.Page.Type != core.LSB {
 		return now, false

@@ -105,19 +105,20 @@ type Device struct {
 	counts   []OpCounts // per-chip operation counters (Counts sums them)
 	busyTime []sim.Time // accumulated busy time per chip (utilization metric)
 
-	// cause is the ambient attribution register, kept per chip so channel
-	// shards of a single run can bracket their own chips without sharing a
-	// register: every operation charges its busy time to the cause in force
-	// on its chip when it was issued. The FTL sets it around GC, backup and
+	// cause is the ambient attribution register, kept per chip so a
+	// one-chip bracket (a backup write paired with a host program, a scrub
+	// or parity-rebuild read) relabels only that chip's work: every
+	// operation charges its busy time to the cause in force on its chip when
+	// it was issued. The FTL sets it around GC, backup and
 	// pad paths (save/restore discipline); CauseHost is the default.
 	// causeBusy accumulates unconditionally — it is pure accounting on the
 	// virtual timeline and never changes timing.
 	cause     []obs.Cause
 	causeBusy [][obs.CauseCount]sim.Time
 
-	// relCounts aggregates reliability read outcomes per chip (chip-local so
-	// channel shards never share a counter); nil when the model is off.
-	relCounts []rel.Counts
+	// relCounts aggregates reliability read outcomes; zero when the model is
+	// off.
+	relCounts rel.Counts
 
 	// Observability (nil when tracing is disabled).
 	rec         *obs.Recorder
@@ -164,7 +165,6 @@ func NewDevice(cfg Config) (*Device, error) {
 		d.chips[c].blocks = blocks
 	}
 	if cfg.Reliability != nil {
-		d.relCounts = make([]rel.Counts, cfg.Geometry.Chips())
 		d.pages.TrackProgAt()
 	}
 	return d, nil
@@ -194,10 +194,9 @@ func (d *Device) SetRecorder(r *obs.Recorder) {
 //
 // Nested paths (a backup write inside a GC relocation) override and restore
 // naturally. The cause only labels accounting; timing and results never
-// depend on it. Serial callers see the single-register semantics this always
-// had (all chips share one cause between brackets); code paths that must not
-// touch other chips' registers — the channel shards of a parallel run —
-// bracket with SetCauseChip instead.
+// depend on it. Between brackets all chips share one cause; a path that
+// works on a single chip and must not relabel the others brackets with
+// SetCauseChip instead.
 func (d *Device) SetCause(c obs.Cause) obs.Cause {
 	prev := d.cause[0]
 	for i := range d.cause {
@@ -208,8 +207,8 @@ func (d *Device) SetCause(c obs.Cause) obs.Cause {
 
 // SetCauseChip switches the attribution cause of one chip only, returning
 // that chip's previous cause. This is the bracket for paths that touch a
-// single chip (backup writes paired with a host program), and the only legal
-// bracket inside a channel shard.
+// single chip (backup writes paired with a host program, scrub and
+// parity-rebuild reads).
 func (d *Device) SetCauseChip(chipID int, c obs.Cause) obs.Cause {
 	prev := d.cause[chipID]
 	d.cause[chipID] = c
@@ -422,7 +421,7 @@ func (d *Device) relOutcome(a PageAddr, blk *block, idx int, at sim.Time) rel.Ou
 	ber := rc.Model.BER(blk.eraseCount, age, blk.readCount)
 	u := rc.Sample(a.Chip, a.Block, a.Page.Index(d.cfg.Geometry.WordLinesPerBlock), blk.readCount)
 	o := rc.ReadOutcome(ber, d.cfg.Geometry.PageSizeBytes, u)
-	rcs := &d.relCounts[a.Chip]
+	rcs := &d.relCounts
 	rcs.Reads++
 	if o.Corrected {
 		rcs.Corrected++
@@ -590,15 +589,9 @@ func (d *Device) EraseCount(a BlockAddr) int {
 // model is off). FTL policies use it to derive ECC budgets.
 func (d *Device) Reliability() *rel.Config { return d.cfg.Reliability }
 
-// RelCounts returns the aggregated reliability read outcomes, summed over
-// chips in chip order. Zero value when the model is off.
-func (d *Device) RelCounts() rel.Counts {
-	var total rel.Counts
-	for i := range d.relCounts {
-		total.Add(d.relCounts[i])
-	}
-	return total
-}
+// RelCounts returns the aggregated reliability read outcomes. Zero value when
+// the model is off.
+func (d *Device) RelCounts() rel.Counts { return d.relCounts }
 
 // BlockReadCount returns the block's read-disturb counter (reads since last
 // erase; maintained only when the reliability model is on).

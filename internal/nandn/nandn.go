@@ -176,17 +176,16 @@ type Device struct {
 	erases   []int64   // per chip
 
 	// cause is the ambient attribution register (see nand.Device.SetCause),
-	// kept per chip like the MLC device so channel shards never share a
-	// register: the FTL brackets its GC/backup paths with SetCause (all
-	// chips) or SetCauseChip (one chip), and every operation charges its busy
-	// time to the cause in force on its chip. Pure accounting on the virtual
-	// timeline; never changes timing.
+	// kept per chip like the MLC device: the FTL brackets its GC/backup
+	// paths with SetCause (all chips) or SetCauseChip (one chip), and every
+	// operation charges its busy time to the cause in force on its chip.
+	// Pure accounting on the virtual timeline; never changes timing.
 	cause     []obs.Cause
 	causeBusy [][obs.CauseCount]sim.Time
 
-	// Reliability model (nil when off); relCounts is per chip.
+	// Reliability model (nil when off) and its aggregated read outcomes.
 	relCfg    *rel.Config
-	relCounts []rel.Counts
+	relCounts rel.Counts
 
 	// Observability (nil when tracing is disabled).
 	rec       *obs.Recorder
@@ -304,14 +303,13 @@ func (d *Device) chargeBusyCause(chipID int, cause obs.Cause, dur sim.Time) {
 // rel.DeriveNLevelModel at the device's bits-per-cell density.
 func (d *Device) SetReliability(rc *rel.Config) error {
 	if rc == nil {
-		d.relCfg, d.relCounts = nil, nil
+		d.relCfg, d.relCounts = nil, rel.Counts{}
 		return nil
 	}
 	if err := rc.Validate(); err != nil {
 		return err
 	}
 	d.relCfg = rc
-	d.relCounts = make([]rel.Counts, d.geo.Chips())
 	d.pages.TrackProgAt()
 	return nil
 }
@@ -319,15 +317,9 @@ func (d *Device) SetReliability(rc *rel.Config) error {
 // Reliability returns the active reliability configuration (nil when off).
 func (d *Device) Reliability() *rel.Config { return d.relCfg }
 
-// RelCounts returns aggregated reliability read outcomes, summed over chips
-// in chip order. Zero value when the model is off.
-func (d *Device) RelCounts() rel.Counts {
-	var total rel.Counts
-	for i := range d.relCounts {
-		total.Add(d.relCounts[i])
-	}
-	return total
-}
+// RelCounts returns aggregated reliability read outcomes. Zero value when the
+// model is off.
+func (d *Device) RelCounts() rel.Counts { return d.relCounts }
 
 // Geometry returns the device shape.
 func (d *Device) Geometry() Geometry { return d.geo }
@@ -461,7 +453,7 @@ func (d *Device) readPage(a PageAddr, now sim.Time) (int, sim.Time, error) {
 		ber := rc.Model.BER(blk.eraseCount, age, blk.readCount)
 		u := rc.Sample(a.Chip, a.Block, d.geo.Scheme().Index(a.Page), blk.readCount)
 		outcome = rc.ReadOutcome(ber, d.geo.PageSizeBytes, u)
-		rcs := &d.relCounts[a.Chip]
+		rcs := &d.relCounts
 		rcs.Reads++
 		if outcome.Corrected {
 			rcs.Corrected++

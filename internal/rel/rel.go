@@ -15,9 +15,8 @@
 // paper's 3K-P/E + 1-year worst case lands in the 1e-4..1e-2 decade).
 //
 // Outcomes are a pure function of (seed, chip, block, page, per-block read
-// count), so serial and epoch-sharded runs see identical results without any
-// barrier replay: all inputs are chip-local and advance in per-chip op
-// order.
+// count), so a run's outcomes are reproducible from its seed alone: no
+// generator state is threaded between reads.
 package rel
 
 import (
@@ -320,7 +319,7 @@ func mix64(x uint64) uint64 {
 
 // Sample derives the uniform [0,1) sample for one read from its identity.
 // Every input is chip-local state, so per-chip op order alone fixes the
-// sequence of samples — the property the epoch-sharded engine relies on.
+// sequence of samples.
 func (c *Config) Sample(chip, block, page int, readCount uint64) float64 {
 	h := c.Seed
 	h = mix64(h ^ (uint64(chip)+1)*0x9e3779b97f4a7c15)

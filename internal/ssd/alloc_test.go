@@ -8,13 +8,11 @@ import (
 	"flexftl/internal/workload"
 )
 
-// steadyStateAllocs warms a flexFTL system through RunSharded at workers=1
-// (the serial delegation path — the one every single-threaded caller takes),
-// then measures the marginal allocations of servicing additional host ops
-// through the same per-op machinery the run loop uses. Warmup grows every
-// amortized structure — the inflight heap, the metrics response-time slices,
-// the FTL's scratch buffers — so the steady state is genuinely measured, not
-// the cold ramp.
+// steadyStateAllocs warms a flexFTL system through Run, then measures the
+// marginal allocations of servicing additional host ops through the same
+// per-op machinery the run loop uses. Warmup grows every amortized structure
+// — the inflight heap, the metrics response-time slices, the FTL's scratch
+// buffers — so the steady state is genuinely measured, not the cold ramp.
 func steadyStateAllocs(t *testing.T, withRecorder bool) float64 {
 	t.Helper()
 	sys := newSystem(t, "flexFTL")
@@ -28,7 +26,7 @@ func steadyStateAllocs(t *testing.T, withRecorder bool) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.RunSharded(gen, 1); err != nil {
+	if _, err := sys.Run(gen); err != nil {
 		t.Fatal(err)
 	}
 	// Continue the stream through the internal per-op path on a warmed
@@ -71,11 +69,11 @@ func steadyStateAllocs(t *testing.T, withRecorder bool) float64 {
 }
 
 // TestRunSteadyStateAllocs0 is the run-engine twin of the obs package's
-// enabled/disabled-path guards: with the epoch-sharded entry point at
-// workers=1, the per-op service path must be allocation-free in steady
-// state, with and without a live recorder. The bound tolerates only the
-// amortized slice doublings of the metrics collector (a handful of mallocs
-// across 80k ops), not any per-op allocation.
+// enabled/disabled-path guards: the per-op service path of Run must be
+// allocation-free in steady state, with and without a live recorder. The
+// bound tolerates only the amortized slice doublings of the metrics
+// collector (a handful of mallocs across 80k ops), not any per-op
+// allocation.
 func TestRunSteadyStateAllocs0(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard needs the long warmup")

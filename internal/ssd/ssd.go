@@ -172,11 +172,6 @@ type System struct {
 	prefillT sim.Time
 	obs      *obs.Recorder
 
-	// Planner effectiveness of the last RunSharded call: epochs that
-	// executed on the shard runner and the page ops they carried (requests
-	// the planner could not shard ran serial and are not counted).
-	shardRep ShardReport
-
 	// Host-op latency histograms and the buffer-full blame counter (nil
 	// without a recorder; prefetched in SetRecorder so the request loop
 	// never touches the registry maps).
@@ -289,8 +284,7 @@ func (s *System) releaseUpTo(t sim.Time) error {
 	return nil
 }
 
-// runState is the per-run loop state shared by Run and RunSharded: the
-// metrics collector, the virtual-time cursors of the request loop, and the
+// runState is the per-run loop state of Run: the metrics collector, the virtual-time cursors of the request loop, and the
 // cached run parameters.
 type runState struct {
 	col         *metrics.Collector
@@ -332,9 +326,7 @@ func (s *System) prologue(rs *runState, arrival sim.Time) error {
 	return nil
 }
 
-// stepOp services one request serially at its arrival time (the op switch of
-// the classic run loop; the epoch planner also uses it as the exact fallback
-// for anything it cannot shard).
+// stepOp services one request at its arrival time.
 func (s *System) stepOp(rs *runState, req workload.Request, arrival sim.Time) error {
 	switch req.Op {
 	case workload.OpRead:

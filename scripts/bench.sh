@@ -7,11 +7,7 @@
 # (SimulateBlock legacy/arena, DeviceRead copy/zerocopy, RunFig4 and
 # RunFig8 at workers-1/workers-auto, PickVictim indexed/reference) plus the
 # MapperUpdate hot path and the end-to-end SSDRun family, so a snapshot from
-# any machine carries its own before/after comparison. The epoch-sharded
-# engine (SSDRunSharded) runs in a second pass under -cpu 1,4 so every
-# snapshot pins the 1-vs-N scaling of its host; for that family the -N
-# GOMAXPROCS suffix is rewritten into a /procsN name segment (instead of
-# stripped) so the cpu sweep's rows keep distinct names. Compare two
+# any machine carries its own before/after comparison. Compare two
 # snapshots with scripts/benchdiff.sh.
 set -eu
 out="${1:-BENCH_PR10.json}"
@@ -19,34 +15,23 @@ cores="$(nproc)"
 cores_warning=false
 if [ "$cores" -le 1 ]; then
   cores_warning=true
-  echo "WARNING: this runner exposes a single core — the shard-scaling rows" >&2
-  echo "         (SSDRunSharded -cpu 4, RunFig8 workers-auto) cannot show any" >&2
-  echo "         parallel speedup here; treat their ratios as meaningless and" >&2
-  echo "         re-collect on a multi-core machine before drawing conclusions." >&2
+  echo "WARNING: this runner exposes a single core — the RunFig8 workers-auto" >&2
+  echo "         rows cannot show any parallel speedup here; treat their ratios" >&2
+  echo "         as meaningless and re-collect on a multi-core machine before" >&2
+  echo "         drawing conclusions." >&2
 fi
 pattern='BenchmarkSimulateBlock|BenchmarkDeviceRead|BenchmarkRunFig4|BenchmarkRunFig8$|BenchmarkMapperUpdate|BenchmarkSSDRun$|BenchmarkPickVictim'
 benchtime="${BENCHTIME:-20x}"
 
 raw=$(go test -run=NONE -bench="$pattern" -benchmem -benchtime="$benchtime" .)
 echo "$raw"
-rawsharded=$(go test -run=NONE -bench='BenchmarkSSDRunSharded' -benchmem -benchtime="$benchtime" -cpu 1,4 .)
-echo "$rawsharded"
 
-printf '%s\n%s\n' "$raw" "$rawsharded" | awk \
+printf '%s\n' "$raw" | awk \
   -v nproc="$cores" -v gomaxprocs="${GOMAXPROCS:-$cores}" -v coreswarn="$cores_warning" '
   /^cpu:/ { sub(/^cpu: */, ""); cpu = $0 }
   /^Benchmark/ {
     name = $1
-    if (name ~ /^BenchmarkSSDRunSharded\//) {
-      procs = "1"
-      if (match(name, /-[0-9]+$/)) {
-        procs = substr(name, RSTART + 1)
-        name = substr(name, 1, RSTART - 1)
-      }
-      name = name "/procs" procs
-    } else {
-      sub(/-[0-9]+$/, "", name)
-    }
+    sub(/-[0-9]+$/, "", name)
     ns = $3; bop = "null"; allocs = "null"
     for (i = 4; i <= NF; i++) {
       if ($(i+1) == "B/op") bop = $i
